@@ -1,11 +1,11 @@
 package main
 
 // -bench-shards: serial-vs-sharded cycle-rate snapshots. Each case drives a
-// machine under identical open-loop load at shard count 1 and at -shards,
-// timing the stepped cycles and recording the engine's final StateHash; the
-// sharded hash must equal the serial one (the benchmark doubles as an
-// equivalence smoke test at scale). The JSON lands in a file (BENCH_shard.json
-// in CI) so the speed trajectory is tracked per commit instead of anecdotal.
+// machine under identical open-loop load at shard count 1 and at 4, timing
+// the stepped cycles and recording the engine's final StateHash; the sharded
+// hash must equal the serial one (the benchmark doubles as an equivalence
+// smoke test at scale). The JSON lands in a file (BENCH_shard.json in CI)
+// so the speed trajectory is tracked per commit instead of anecdotal.
 
 import (
 	"encoding/json"
@@ -22,7 +22,7 @@ type shardBenchEntry struct {
 	Name          string  `json:"name"`
 	Shape         string  `json:"shape"`
 	PEs           int     `json:"pes"`
-	Shards        int     `json:"shards"`
+	ShardCount    int     `json:"shards"`
 	BoundaryLinks int     `json:"boundary_links"`
 	Cycles        int64   `json:"cycles"`
 	WallMS        float64 `json:"wall_ms"`
@@ -38,12 +38,16 @@ type shardBenchCase struct {
 	cycles int64
 }
 
-// runShardBenchCase steps one machine under seeded Bernoulli load for a fixed
-// cycle budget. The injection stream is a pure function of the seed, so two
-// runs of the same case at different shard counts reach identical states.
+// runShardBenchCase steps one machine on the given shard count under seeded
+// Bernoulli load for a fixed cycle budget. The injection stream is a pure
+// function of the seed, so two runs of the same case at different shard
+// counts reach identical states.
 func runShardBenchCase(c shardBenchCase, shards int) (shardBenchEntry, error) {
-	m, err := core.NewMachine(core.Config{Shape: c.shape, Shards: shards})
+	m, err := core.NewMachine(core.Config{Shape: c.shape})
 	if err != nil {
+		return shardBenchEntry{}, err
+	}
+	if err := m.Engine().SetShards(m.PlanShards(shards)); err != nil {
 		return shardBenchEntry{}, err
 	}
 	rng := rand.New(rand.NewSource(17))
@@ -65,7 +69,7 @@ func runShardBenchCase(c shardBenchCase, shards int) (shardBenchEntry, error) {
 		Name:          c.name,
 		Shape:         c.shape.String(),
 		PEs:           size,
-		Shards:        m.Engine().ShardCount(),
+		ShardCount:    m.Engine().ShardCount(),
 		BoundaryLinks: m.Engine().BoundaryLinks(),
 		Cycles:        c.cycles,
 		WallMS:        float64(wall.Microseconds()) / 1000,
@@ -77,10 +81,8 @@ func runShardBenchCase(c shardBenchCase, shards int) (shardBenchEntry, error) {
 // benchShards runs every case serial and sharded and writes the JSON report.
 // It returns an error when any sharded final hash differs from its serial
 // twin — a perf snapshot that silently changed semantics is worse than none.
-func benchShards(path string, shards int, quick bool) error {
-	if shards <= 1 {
-		shards = 4
-	}
+func benchShards(path string, quick bool) error {
+	const shards = 4
 	cases := []shardBenchCase{
 		{name: "xbar2d-256", shape: geom.MustShape(16, 16), rate: 0.02, cycles: 1500},
 		{name: "machine3d-512", shape: geom.MustShape(8, 8, 8), rate: 0.005, cycles: 400},
@@ -109,7 +111,7 @@ func benchShards(path string, shards int, quick bool) error {
 		}
 		entries = append(entries, serial, sharded)
 		fmt.Fprintf(os.Stderr, "mdxbench: %-15s shards=%d %9.0f cyc/s | shards=%d %9.0f cyc/s (%d boundary links, hash match=%v)\n",
-			c.name, serial.Shards, serial.CyclesPerSec, sharded.Shards, sharded.CyclesPerSec,
+			c.name, serial.ShardCount, serial.CyclesPerSec, sharded.ShardCount, sharded.CyclesPerSec,
 			sharded.BoundaryLinks, sharded.MatchesSerial)
 	}
 	data, err := json.MarshalIndent(entries, "", "  ")

@@ -35,8 +35,7 @@ func main() {
 		exp         = flag.String("exp", "all", "experiment ids to run, comma-separated and case-insensitive (e.g. e4 or E1,F2), or 'all'")
 		quick       = flag.Bool("quick", false, "reduced sweep sizes")
 		parallel    = flag.Int("parallel", sweep.DefaultParallel(), "worker-pool width for experiments and their sweep cells (1 = serial)")
-		shards      = flag.Int("shards", 0, "spatial shards per machine where supported (E14 scale run, -bench-shards); <= 1 = serial stepper")
-		benchShardP = flag.String("bench-shards", "", "write serial-vs-sharded cycle-rate snapshots to this JSON file and exit (e.g. BENCH_shard.json)")
+		benchShardP = flag.String("bench-shards", "", "write serial-vs-4-shard cycle-rate snapshots to this JSON file and exit (e.g. BENCH_shard.json)")
 		benchCoreP  = flag.String("bench-core", "", "write core cycle-rate snapshots (E6, E11, kernel step loop) to this JSON file and exit (e.g. BENCH_core.json)")
 		list        = flag.Bool("list", false, "list experiments and exit")
 	)
@@ -50,7 +49,7 @@ func main() {
 	}
 
 	if *benchShardP != "" {
-		if err := benchShards(*benchShardP, *shards, *quick); err != nil {
+		if err := benchShards(*benchShardP, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "mdxbench: bench-shards: %v\n", err)
 			os.Exit(1)
 		}
@@ -65,7 +64,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Quick: *quick, Parallel: *parallel, Shards: *shards}
+	opts := experiments.Options{Quick: *quick, Parallel: *parallel}
 	toRun, err := experiments.Resolve(strings.Split(*exp, ","))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mdxbench: %v (use -list)\n", err)

@@ -63,7 +63,6 @@ func main() {
 		dxbSep     = flag.Bool("dxb-separate", false, "use a separate detour crossbar (the paper's deadlocking D-XB != S-XB design)")
 		vcs        = flag.Int("vcs", 0, "virtual channels per physical wire (with -adaptive; 0 = single-lane network)")
 		adaptive   = flag.Bool("adaptive", false, "escape-VC adaptive routing: lanes 1.. take any minimal productive hop, lane 0 is the certified escape channel (needs -vcs >= 2)")
-		shards     = flag.Int("shards", 0, "spatial shards per machine (<= 1 = serial stepper; output is identical at any count)")
 		reconfig   = flag.String("reconfig", "", "online routing-table reconfiguration trigger: fault | deadlock | both (empty = off)")
 		recfgDrain = flag.Int("reconfig-drain", 0, "max in-flight packets a cyclic transition may purge before falling back to rebuild-in-place (with -reconfig; 0 = default)")
 		fails      failList
@@ -187,7 +186,6 @@ func main() {
 			DXBSeparate:         *dxbSep,
 			VCs:                 vcCount,
 			Adaptive:            *adaptive,
-			Shards:              *shards,
 			Reconfig:            recfgMode,
 			ReconfigDrainBudget: recfgBudget,
 			Parallel:            *parallel,
@@ -242,7 +240,6 @@ func main() {
 		DXBSeparate:         *dxbSep,
 		VCs:                 vcCount,
 		Adaptive:            *adaptive,
-		Shards:              *shards,
 		Reconfig:            recfgMode,
 		ReconfigDrainBudget: recfgBudget,
 	}, os.Stdout)

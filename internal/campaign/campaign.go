@@ -139,10 +139,6 @@ type Spec struct {
 	// escape-VC adaptive routing (see core.Config for the constraints).
 	VCs      int
 	Adaptive bool
-	// Shards steps the cell's machine on that many spatial shards (see
-	// core.Config.Shards). The verdict — like everything downstream of the
-	// kernel — is identical at any shard count.
-	Shards int
 	// Reconfig enables online routing-table reconfiguration (see
 	// core.Config.Reconfig for the modes and constraints): mid-run faults
 	// and/or confirmed deadlocks recompile the policy and swap it in behind
@@ -301,7 +297,6 @@ func NewCellRun(spec Spec) (*CellRun, error) {
 		Adaptive:       spec.Adaptive,
 		PacketSize:     spec.PacketSize,
 		StallThreshold: spec.Inject.StallThreshold,
-		Shards:         spec.Shards,
 		Reconfig:       spec.Reconfig,
 	})
 	if err != nil {
@@ -592,9 +587,6 @@ type Config struct {
 	// for every cell (see Spec).
 	VCs      int
 	Adaptive bool
-	// Shards steps every cell's machine on that many spatial shards (see
-	// Spec.Shards); results are identical at any shard count.
-	Shards int
 	// Reconfig/ReconfigDrainBudget enable online reconfiguration in every
 	// cell (see Spec.Reconfig).
 	Reconfig            string
@@ -637,6 +629,32 @@ type Result struct {
 // Results are merged by cell index, so the campaign — like every sweep in
 // this repository — is byte-identical at any parallelism level.
 func Run(cfg Config) (*Result, error) {
+	specs, err := cellSpecs(cfg)
+	if err != nil {
+		return nil, err
+	}
+	runCell := func(i int) (CellResult, error) {
+		res, err := runStoredCell(cfg, i, specs[i])
+		if cfg.OnCell != nil && err == nil {
+			cfg.OnCell(res.EndCycle)
+		}
+		return res, err
+	}
+	var cells []CellResult
+	if cfg.Ctx != nil || cfg.Budget != nil {
+		cells, err = sweep.DoCtxErr(cfg.Ctx, cfg.Budget, len(specs), cfg.Parallel, runCell)
+	} else {
+		cells, err = sweep.DoErr(len(specs), cfg.Parallel, runCell)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Shape: cfg.Shape, Cells: cells}, nil
+}
+
+// cellSpecs enumerates the campaign grid — placement × epoch × pattern — as
+// one cell spec per cell, in the index order Run merges results by.
+func cellSpecs(cfg Config) ([]Spec, error) {
 	if cfg.Shape.Dims() == 0 {
 		return nil, fmt.Errorf("campaign: config needs a shape")
 	}
@@ -645,11 +663,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if len(cfg.Patterns) == 0 {
 		return nil, fmt.Errorf("campaign: config needs at least one pattern")
-	}
-	type cellSpec struct {
-		f     fault.Fault
-		epoch int64
-		pat   Pattern
 	}
 	// Placements colliding with a preset fault cannot be scheduled on top
 	// of it: skip them, so a preset campaign sweeps every *additional*
@@ -660,7 +673,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("campaign: preset fault: %w", err)
 		}
 	}
-	var grid []cellSpec
+	var specs []Spec
 	for _, f := range PlacementsFor(cfg.Topology, cfg.Shape) {
 		if len(cfg.Preset) > 0 {
 			// Add is idempotent, so collision means membership: a placement
@@ -673,53 +686,33 @@ func Run(cfg Config) (*Result, error) {
 		}
 		for _, epoch := range cfg.Epochs {
 			for _, pat := range cfg.Patterns {
-				grid = append(grid, cellSpec{f: f, epoch: epoch, pat: pat})
+				specs = append(specs, Spec{
+					Shape:               cfg.Shape,
+					Topology:            cfg.Topology,
+					Events:              []inject.Event{{Cycle: epoch, Fault: f}},
+					Pattern:             pat,
+					Waves:               cfg.Waves,
+					Gap:                 cfg.Gap,
+					PacketSize:          cfg.PacketSize,
+					Inject:              cfg.Inject,
+					Horizon:             cfg.Horizon,
+					Recovery:            cfg.Recovery,
+					Preset:              cfg.Preset,
+					Broadcasts:          cfg.Broadcasts,
+					SXB:                 cfg.SXB,
+					DXB:                 cfg.DXB,
+					DXBSeparate:         cfg.DXBSeparate,
+					NaiveBroadcast:      cfg.NaiveBroadcast,
+					PivotLastDim:        cfg.PivotLastDim,
+					VCs:                 cfg.VCs,
+					Adaptive:            cfg.Adaptive,
+					Reconfig:            cfg.Reconfig,
+					ReconfigDrainBudget: cfg.ReconfigDrainBudget,
+				})
 			}
 		}
 	}
-	runCell := func(i int) (CellResult, error) {
-		g := grid[i]
-		spec := Spec{
-			Shape:               cfg.Shape,
-			Topology:            cfg.Topology,
-			Events:              []inject.Event{{Cycle: g.epoch, Fault: g.f}},
-			Pattern:             g.pat,
-			Waves:               cfg.Waves,
-			Gap:                 cfg.Gap,
-			PacketSize:          cfg.PacketSize,
-			Inject:              cfg.Inject,
-			Horizon:             cfg.Horizon,
-			Recovery:            cfg.Recovery,
-			Preset:              cfg.Preset,
-			Broadcasts:          cfg.Broadcasts,
-			SXB:                 cfg.SXB,
-			DXB:                 cfg.DXB,
-			DXBSeparate:         cfg.DXBSeparate,
-			NaiveBroadcast:      cfg.NaiveBroadcast,
-			PivotLastDim:        cfg.PivotLastDim,
-			VCs:                 cfg.VCs,
-			Adaptive:            cfg.Adaptive,
-			Shards:              cfg.Shards,
-			Reconfig:            cfg.Reconfig,
-			ReconfigDrainBudget: cfg.ReconfigDrainBudget,
-		}
-		res, err := runStoredCell(cfg, i, spec)
-		if cfg.OnCell != nil && err == nil {
-			cfg.OnCell(res.EndCycle)
-		}
-		return res, err
-	}
-	var cells []CellResult
-	var err error
-	if cfg.Ctx != nil || cfg.Budget != nil {
-		cells, err = sweep.DoCtxErr(cfg.Ctx, cfg.Budget, len(grid), cfg.Parallel, runCell)
-	} else {
-		cells, err = sweep.DoErr(len(grid), cfg.Parallel, runCell)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Shape: cfg.Shape, Cells: cells}, nil
+	return specs, nil
 }
 
 // runStoredCell runs one cell, consulting the store (when configured) for a

@@ -12,8 +12,9 @@ package campaign
 //
 //   - Degenerate-lane equivalence: VCs=1 is byte-identical to the pre-VC
 //     machine in every artifact a user can observe — campaign reports,
-//     single-run report streams, outcomes — at every parallel and shard
-//     level. The VC layer is provably inert until a second lane exists.
+//     single-run report streams, outcomes — at every parallel level and
+//     with the machines stepped on any shard count. The VC layer is
+//     provably inert until a second lane exists.
 
 import (
 	"bytes"
@@ -131,11 +132,7 @@ func TestSingleLaneCampaignBytesIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := recoveryCampaign(tc.parallel)
 			cfg.VCs = 1
-			cfg.Shards = tc.shards
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runSharded(t, cfg, tc.shards)
 			if got.String() != base.String() {
 				t.Errorf("VCs=1 report differs from pre-VC baseline\n--- vcs=1 (%s)\n%s--- baseline\n%s",
 					tc.name, got.String(), base.String())
@@ -157,15 +154,10 @@ func TestSingleLaneSingleRunBytesIdentical(t *testing.T) {
 		for _, shards := range []int{0, 3} {
 			spec := fig9Single(separate, 0)
 			spec.VCs = 1
-			spec.Shards = shards
-			var got bytes.Buffer
-			gotOut, err := RunSingle(spec, &got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.String() != want.String() {
+			got, gotOut := runSingleSharded(t, spec, shards)
+			if got != want.String() {
 				t.Errorf("separate=%v shards=%d: VCs=1 report differs\n--- vcs=1\n%s--- baseline\n%s",
-					separate, shards, got.String(), want.String())
+					separate, shards, got, want.String())
 			}
 			if fmt.Sprintf("%+v", gotOut) != fmt.Sprintf("%+v", wantOut) {
 				t.Errorf("separate=%v shards=%d: outcome differs: %+v != %+v", separate, shards, gotOut, wantOut)
@@ -180,16 +172,15 @@ func TestSingleLaneSingleRunBytesIdentical(t *testing.T) {
 // static one — lanes change drain times — so it is compared against its own
 // serial rendering, not the static baseline.)
 func TestAdaptiveCampaignParallelShardInvariant(t *testing.T) {
-	adaptive := func(parallel, shards int) Config {
+	adaptive := func(parallel int) Config {
 		cfg := recoveryCampaign(parallel)
 		cfg.DXBSeparate = false
 		cfg.DXB = geom.Coord{}
 		cfg.VCs = 2
 		cfg.Adaptive = true
-		cfg.Shards = shards
 		return cfg
 	}
-	base, err := Run(adaptive(1, 0))
+	base, err := Run(adaptive(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +189,7 @@ func TestAdaptiveCampaignParallelShardInvariant(t *testing.T) {
 			base.Recoveries(), base.Deadlocks(), base.Livelocked(), base.String())
 	}
 	for _, tc := range []struct{ parallel, shards int }{{4, 0}, {1, 2}, {2, 3}} {
-		got, err := Run(adaptive(tc.parallel, tc.shards))
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := runSharded(t, adaptive(tc.parallel), tc.shards)
 		if got.String() != base.String() {
 			t.Errorf("parallel=%d shards=%d: adaptive report differs from serial\n--- got\n%s--- serial\n%s",
 				tc.parallel, tc.shards, got.String(), base.String())

@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"sr2201/internal/deadlock"
 	"sr2201/internal/engine"
@@ -114,11 +115,6 @@ type Config struct {
 	PacketSize int
 	// StallThreshold configures the deadlock watchdog (0 = package default).
 	StallThreshold int64
-	// Shards partitions the lattice into that many spatial shards stepped
-	// concurrently (mdxb.ShardAssign); 0 or 1 selects the serial stepper.
-	// The per-cycle simulation state is identical either way — sharding is
-	// purely a wall-clock optimization.
-	Shards int
 }
 
 // Delivery records one packet consumed by a PE.
@@ -271,19 +267,36 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := m.rebuildPolicy(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		var plan engine.ShardPlan
-		if m.net != nil {
-			plan = mdxb.ShardAssign(m.net, cfg.Shards)
-		} else {
-			plan = topo.ShardAssign(m.tnet, cfg.Shards)
-		}
-		if err := m.eng.SetShards(plan); err != nil {
+	if n := stepperShards(cfg.Shape); n > 1 {
+		if err := m.eng.SetShards(m.PlanShards(n)); err != nil {
 			return nil, fmt.Errorf("core: sharding: %w", err)
 		}
 	}
 	m.eng.OnDeliver = m.onDeliver
 	return m, nil
+}
+
+// stepperShards chooses how many spatial shards step a machine of the given
+// shape (DESIGN.md §10). Two shards pay only on the full 2048-PE machine and
+// only with a second processor to run on; everywhere else the barrier
+// exchange costs more than the parallel phases save, so the serial stepper
+// runs. Simulation results are identical either way.
+func stepperShards(shape geom.Shape) int {
+	if shape.Size() >= 2048 && runtime.GOMAXPROCS(0) >= 2 {
+		return 2
+	}
+	return 1
+}
+
+// PlanShards partitions the machine into n spatial slabs with its
+// topology's planner (mdxb.ShardAssign or topo.ShardAssign). NewMachine
+// installs the plan stepperShards picks; a caller that must step at a
+// fixed count passes PlanShards(n) to Engine().SetShards between Steps.
+func (m *Machine) PlanShards(n int) engine.ShardPlan {
+	if m.net != nil {
+		return mdxb.ShardAssign(m.net, n)
+	}
+	return topo.ShardAssign(m.tnet, n)
 }
 
 // rebuildPolicy refreshes the routing layer against the current fault set:
@@ -868,17 +881,8 @@ func (m *Machine) Cycle() int64 { return m.eng.Cycle() }
 func (m *Machine) Engine() *engine.Engine { return m.eng }
 
 // Network exposes the built MD crossbar network (nil on direct-link
-// topologies — see TopoNet).
+// topologies).
 func (m *Machine) Network() *mdxb.Network { return m.net }
-
-// TopoNet exposes the built direct-link lattice (nil on the MD crossbar —
-// see Network).
-func (m *Machine) TopoNet() *topo.Net { return m.tnet }
-
-// TopoScheme exposes the installed direct-link routing scheme (nil on the
-// MD crossbar). It is rebuilt — and re-fetched stale references
-// invalidated — every time a fault is added.
-func (m *Machine) TopoScheme() topo.Router { return m.router }
 
 // Topology reports the configured interconnect name (TopologyMDX,
 // TopologyHyperX or TopologyFullMesh).

@@ -147,8 +147,10 @@ func TestTopoShardedStateHash(t *testing.T) {
 	} {
 		t.Run(tc.topology, func(t *testing.T) {
 			run := func(shards int) uint64 {
-				m := mustMachine(t, Config{Shape: tc.shape, Topology: tc.topology,
-					StallThreshold: 64, Shards: shards})
+				m := mustMachine(t, Config{Shape: tc.shape, Topology: tc.topology, StallThreshold: 64})
+				if err := m.Engine().SetShards(m.PlanShards(shards)); err != nil {
+					t.Fatal(err)
+				}
 				tc.shape.Enumerate(func(src geom.Coord) bool {
 					dst := tc.shape.CoordOf((tc.shape.Index(src) + 5) % tc.shape.Size())
 					if dst != src {

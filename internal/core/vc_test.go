@@ -95,11 +95,11 @@ func buildVCScenario(t *testing.T, sc vcScenario, vcs, shards int) *core.Machine
 	t.Helper()
 	cfg := sc.cfg
 	cfg.VCs = vcs
-	cfg.Shards = shards
 	m, err := core.NewMachine(cfg)
 	if err != nil {
-		t.Fatalf("NewMachine(%s, vcs=%d, shards=%d): %v", sc.name, vcs, shards, err)
+		t.Fatalf("NewMachine(%s, vcs=%d): %v", sc.name, vcs, err)
 	}
+	setShards(t, m, shards)
 	if sc.name == "unicast-faulted" {
 		if err := m.AddFault(fault.RouterFault(geom.Coord{2, 1})); err != nil {
 			t.Fatal(err)
@@ -107,6 +107,18 @@ func buildVCScenario(t *testing.T, sc vcScenario, vcs, shards int) *core.Machine
 	}
 	sc.drive(t, m)
 	return m
+}
+
+// setShards steps m on exactly n spatial shards; n == 0 keeps the stepper
+// NewMachine chose (serial at every shape these tests build).
+func setShards(t *testing.T, m *core.Machine, n int) {
+	t.Helper()
+	if n == 0 {
+		return
+	}
+	if err := m.Engine().SetShards(m.PlanShards(n)); err != nil {
+		t.Fatalf("SetShards(%d): %v", n, err)
+	}
 }
 
 // runStream steps the machine to quiescence (or the cycle cap) and returns
@@ -161,11 +173,11 @@ func adaptiveMachine(t *testing.T, shards int) *core.Machine {
 		Shape:    geom.MustShape(4, 4),
 		VCs:      2,
 		Adaptive: true,
-		Shards:   shards,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	setShards(t, m, shards)
 	if err := m.AddFault(fault.RouterFault(geom.Coord{2, 1})); err != nil {
 		t.Fatal(err)
 	}

@@ -197,9 +197,6 @@ type InPort struct {
 	BlockedCycles int64
 }
 
-// Buffered reports the number of flits currently queued at the port.
-func (p *InPort) Buffered() int { return len(p.buf) }
-
 // front returns the flit at the head of the buffer, or nil. The pointer
 // aliases the buffer slot: it must not be retained across pops or appends.
 func (p *InPort) front() *flit.Flit {

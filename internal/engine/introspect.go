@@ -33,9 +33,6 @@ func (o *OutPort) Index() int { return o.idx }
 // Owner returns the input port whose packet holds this output, or nil.
 func (o *OutPort) Owner() *InPort { return o.owner }
 
-// Credits returns the available downstream buffer credits.
-func (o *OutPort) Credits() int { return o.credits }
-
 // DownstreamIn returns the input port this output feeds, or nil when
 // unconnected.
 func (o *OutPort) DownstreamIn() *InPort {

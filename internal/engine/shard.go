@@ -243,9 +243,6 @@ func (e *Engine) ShardCount() int {
 	return e.shardN
 }
 
-// ShardOf reports the shard owning a node.
-func (e *Engine) ShardOf(n *Node) int { return int(n.shard) }
-
 // BoundaryLinks counts links whose endpoints live in different shards — the
 // traffic that crosses the barrier outboxes each cycle.
 func (e *Engine) BoundaryLinks() int {

@@ -21,7 +21,7 @@ func init() {
 // workload is a pure function of (shape, cycle), so any two machines of the
 // same shape must produce identical streams regardless of shard count.
 func shardScenario(shape geom.Shape, shards int) ([]uint64, *core.Machine, error) {
-	m, err := core.NewMachine(core.Config{Shape: shape, Shards: shards, StallThreshold: 1024})
+	m, err := shardedMachine(shape, shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -61,6 +61,19 @@ func shardScenario(shape geom.Shape, shards int) ([]uint64, *core.Machine, error
 		}
 	}
 	return nil, nil, fmt.Errorf("E14: %v scenario did not drain in 6000 cycles", shape)
+}
+
+// shardedMachine builds a machine stepped on exactly n spatial shards (1 =
+// serial), overriding the count NewMachine picks for the shape.
+func shardedMachine(shape geom.Shape, n int) (*core.Machine, error) {
+	m, err := core.NewMachine(core.Config{Shape: shape, StallThreshold: 1024})
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Engine().SetShards(m.PlanShards(n)); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // runE14 validates the sharded stepper end to end and then exercises it at
@@ -118,10 +131,7 @@ func runE14(opt Options) (*Report, error) {
 	if opt.Quick {
 		scaleShape = geom.MustShape(8, 8, 8)
 	}
-	shards := opt.Shards
-	if shards <= 1 {
-		shards = 4
-	}
+	const shards = 4
 	scaleTbl := stats.NewTable("E14 full-machine scale run",
 		"shape", "PEs", "shards", "boundary links", "cycles", "delivered", "final hash", "outcome")
 	type scaleRun struct {
@@ -131,7 +141,7 @@ func runE14(opt Options) (*Report, error) {
 		drained   bool
 	}
 	runScale := func(n int) (scaleRun, *core.Machine, error) {
-		m, err := core.NewMachine(core.Config{Shape: scaleShape, Shards: n, StallThreshold: 1024})
+		m, err := shardedMachine(scaleShape, n)
 		if err != nil {
 			return scaleRun{}, nil, err
 		}

@@ -41,7 +41,6 @@ func runTopoCampaign(r *Report, opt Options, topology string, cfg campaign.Confi
 		RetryAfter:     24,
 		StallThreshold: 256,
 	}
-	cfg.Shards = opt.Shards
 	cfg.Parallel = opt.Parallel
 	cfg.Ctx = opt.Ctx
 	cfg.Budget = opt.Budget
@@ -160,7 +159,6 @@ func runH3(opt Options) (*Report, error) {
 				StallThreshold: 256,
 			},
 			KeepDeliveries: true,
-			Shards:         opt.Shards,
 		})
 		if err != nil {
 			return nil, err

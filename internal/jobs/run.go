@@ -170,7 +170,6 @@ func runFault(ctx context.Context, f *FaultSpec, progress progressFn, st *execSt
 		DXBSeparate:         f.Variant.DXBSeparate,
 		VCs:                 f.Variant.VCs,
 		Adaptive:            f.Variant.Adaptive,
-		Shards:              f.Shards,
 		Reconfig:            f.Reconfig.Mode,
 		ReconfigDrainBudget: f.Reconfig.DrainBudget,
 		OnCycle: func(c int64, _ engine.Counters) {
@@ -291,7 +290,6 @@ func runCampaign(ctx context.Context, c *CampaignSpec, budget *sweep.Limiter, pa
 		DXBSeparate:         c.Variant.DXBSeparate,
 		VCs:                 c.Variant.VCs,
 		Adaptive:            c.Variant.Adaptive,
-		Shards:              c.Shards,
 		Reconfig:            c.Reconfig.Mode,
 		ReconfigDrainBudget: c.Reconfig.DrainBudget,
 		Horizon:             c.Horizon,

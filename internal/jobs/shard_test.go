@@ -1,96 +1,71 @@
 package jobs
 
-// The service-layer face of the sharded-vs-serial equivalence wall: a job
-// submitted with "shards" set produces an artifact byte-identical to the
-// serial submission, for both the single-fault and campaign kinds, and the
-// decoder polices the field like every other resource knob.
+// The service layer has no shard count: the machine chooses its own stepper
+// (core.NewMachine), so a submission naming one is an unknown field, and an
+// execution persisted while the field existed is dropped at boot instead of
+// wedging the restart.
 
 import (
-	"bytes"
 	"errors"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-func TestShardedJobArtifactBytesIdentical(t *testing.T) {
-	faultSpec := func(shards int) Spec {
-		return Spec{Kind: KindFault, Fault: &FaultSpec{
-			Shape:   "4x4",
-			Fails:   []string{"rtc:1,1@40"},
-			Pattern: "shift+5",
-			Waves:   3,
-			Gap:     16,
-			Inject:  InjectSpec{Retransmit: true},
-			Shards:  shards,
-		}}
-	}
-	campaignSpec := func(shards int) Spec {
-		return Spec{Kind: KindCampaign, Campaign: &CampaignSpec{
-			Shape:    "4x4",
-			Epochs:   []int64{12, 60},
-			Patterns: []string{"shift+5", "reverse"},
-			Inject:   InjectSpec{Retransmit: true},
-			Shards:   shards,
-		}}
-	}
-	for _, tc := range []struct {
-		name string
-		spec func(shards int) Spec
-	}{
-		{"fault", faultSpec},
-		{"campaign", campaignSpec},
+func TestShardSpecValidation(t *testing.T) {
+	for _, tc := range []struct{ body, field string }{
+		{`{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","shards":2}}`, "shards"},
+		{`{"kind":"campaign","campaign":{"shape":"4x4","epochs":[12],"patterns":["shift+5"],"shards":3}}`, "shards"},
+		{`{"kind":"campaign","campaign":{"shape":"4x4","epochs":[12],"patterns":["shift+5"],"shards":0}}`, "shards"},
 	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			serial := jobArtifact(t, tc.spec(0), 2)
-			for _, shards := range []int{2, 3} {
-				if got := jobArtifact(t, tc.spec(shards), 2); !bytes.Equal(got, serial) {
-					t.Errorf("shards=%d artifact differs from serial:\n--- serial ---\n%s--- sharded ---\n%s",
-						shards, serial, got)
-				}
-			}
-		})
+		_, err := DecodeSpec([]byte(tc.body))
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != tc.field || fe.Msg != "unknown field" {
+			t.Errorf("%s: want unknown-field FieldError on %q, got %v", tc.body, tc.field, err)
+		}
 	}
 }
 
-func TestShardSpecValidation(t *testing.T) {
-	decode := func(body string) error {
-		_, err := DecodeSpec([]byte(body))
-		return err
-	}
-	base := `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[12],"patterns":["shift+5"],"shards":%s}}`
-	for _, tc := range []struct {
-		shards string
-		field  string // empty = must be accepted
-	}{
-		{"3", ""},
-		{"0", ""},
-		{"-1", "campaign.shards"},
-		{"65", "campaign.shards"},
-	} {
-		err := decode(strings.Replace(base, "%s", tc.shards, 1))
-		if tc.field == "" {
-			if err != nil {
-				t.Errorf("shards=%s: unexpected rejection: %v", tc.shards, err)
-			}
-			continue
-		}
-		var fe *FieldError
-		if !errors.As(err, &fe) || fe.Field != tc.field {
-			t.Errorf("shards=%s: want FieldError on %q, got %v", tc.shards, tc.field, err)
-		}
-	}
-	if err := decode(`{"kind":"fault","fault":{"shape":"4x4","fails":["rtc:1,1@40"],"pattern":"reverse","shards":-2}}`); err == nil {
-		t.Error("negative fault.shards accepted")
-	}
+// legacyShardsCanonical is the canonical encoding a campaign submitted with
+// "shards":3 was persisted under before the field was removed.
+const legacyShardsCanonical = `{"kind":"campaign","campaign":{"shape":"4x4","epochs":[12],"patterns":["shift+5"],"waves":4,"gap":24,"horizon":50000,"inject":{"retransmit":true,"retry_after":64,"backoff":2,"max_retries":4},"recovery":{},"variant":{},"reconfig":{},"shards":3}}`
 
-	// The count survives canonicalization, so a persisted execution resumes
-	// under the shard count it was submitted with.
-	spec, err := DecodeSpec([]byte(strings.Replace(base, "%s", "3", 1)))
+func TestShardsStateDroppedOnResume(t *testing.T) {
+	dir := t.TempDir()
+	h := canonHash(legacyShardsCanonical)
+	st, err := openStateStore(dir, "w0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(spec.Canonical(), `"shards":3`) {
-		t.Errorf("canonical encoding dropped shards: %s", spec.Canonical())
+	if err := st.saveExecSpec(h, legacyShardsCanonical); err != nil {
+		t.Fatal(err)
 	}
+	if err := st.saveJob("j000007", legacyShardsCanonical); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := OpenManager(Config{Workers: 1, Parallel: 1, StateDir: dir})
+	if err != nil {
+		t.Fatalf("boot over a state dir holding a shards spec: %v", err)
+	}
+	defer m.Stop()
+	if _, err := os.Stat(filepath.Join(dir, "execs", h)); !os.IsNotExist(err) {
+		t.Errorf("execution with the retired shards field was not dropped (stat: %v)", err)
+	}
+	if _, err := m.Lookup("j000007"); err == nil {
+		t.Error("job bound to the dropped execution is still served")
+	}
+
+	// The same campaign without the field runs normally on the booted
+	// manager, under a new identity.
+	id, deduped, err := m.Submit(Spec{Kind: KindCampaign, Campaign: &CampaignSpec{
+		Shape:    "4x4",
+		Epochs:   []int64{12},
+		Patterns: []string{"shift+5"},
+		Inject:   InjectSpec{Retransmit: true},
+	}})
+	if err != nil || deduped {
+		t.Fatalf("resubmission: deduped=%v err=%v", deduped, err)
+	}
+	waitStatus(t, m, id, StatusDone)
 }

@@ -129,13 +129,6 @@ type FaultSpec struct {
 	Recovery   RecoverySpec `json:"recovery,omitempty"`
 	Variant    VariantSpec  `json:"variant,omitempty"`
 	Reconfig   ReconfigSpec `json:"reconfig,omitempty"`
-	// Shards partitions the machine into spatial shards stepped concurrently
-	// (mdxfault -shards). A pure wall-clock knob: the artifact is
-	// byte-identical at every count, so it does NOT participate in dedup
-	// identity any more than parallelism would — but it is kept in the
-	// canonical encoding so a resumed execution re-runs under the count it
-	// was submitted with.
-	Shards int `json:"shards,omitempty"`
 }
 
 // CampaignSpec mirrors mdxfault -campaign: the exhaustive placement grid.
@@ -156,9 +149,6 @@ type CampaignSpec struct {
 	Recovery   RecoverySpec `json:"recovery,omitempty"`
 	Variant    VariantSpec  `json:"variant,omitempty"`
 	Reconfig   ReconfigSpec `json:"reconfig,omitempty"`
-	// Shards partitions each cell's machine into spatial shards (mdxfault
-	// -campaign -shards). Byte-identical output at every count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Clone returns a deep copy sharing no memory with s, so normalizing the
@@ -223,23 +213,9 @@ const (
 	maxPresets     = 64
 	maxBroadcasts  = 64
 	maxRecoverCap  = 64
-	maxShards      = 64
 	maxVCs         = 8
 	maxDrainBudget = 1 << 20
 )
-
-// normalizeShards checks a spec's shard count. More shards than the service
-// ceiling is rejected; the shard planner clamps counts above the lattice
-// extent, so anything under the ceiling is runnable.
-func normalizeShards(field string, shards int) error {
-	if shards < 0 {
-		return fieldErrf(field, "must be non-negative")
-	}
-	if shards > maxShards {
-		return fieldErrf(field, "%d exceeds maximum %d", shards, maxShards)
-	}
-	return nil
-}
 
 // DecodeSpec parses and validates a JSON submission. Unknown fields,
 // trailing data, type mismatches, and semantic violations are all rejected
@@ -622,9 +598,6 @@ func (f *FaultSpec) normalize() error {
 	if err := f.Reconfig.normalize("fault", f.Topology, &f.Variant); err != nil {
 		return err
 	}
-	if err := normalizeShards("fault.shards", f.Shards); err != nil {
-		return err
-	}
 	return f.Inject.normalize("fault")
 }
 
@@ -674,9 +647,6 @@ func (c *CampaignSpec) normalize() error {
 		return err
 	}
 	if err := c.Reconfig.normalize("campaign", c.Topology, &c.Variant); err != nil {
-		return err
-	}
-	if err := normalizeShards("campaign.shards", c.Shards); err != nil {
 		return err
 	}
 	return c.Inject.normalize("campaign")

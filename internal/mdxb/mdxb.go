@@ -183,20 +183,6 @@ func (net *Network) VCs() int { return net.vcs }
 // RouterPortPE is the router port attached to the local PE.
 func (net *Network) RouterPortPE() int { return net.Shape.Dims() * net.vcs }
 
-// RouterPortXB is the router port for lane v of the dim-k crossbar wire.
-func (net *Network) RouterPortXB(k, v int) int { return k*net.vcs + v }
-
-// XBPortRouter is the crossbar port for lane v of the wire to the router at
-// point index p of the crossbar's line.
-func (net *Network) XBPortRouter(p, v int) int { return p*net.vcs + v }
-
-// PortWire decomposes a router or crossbar port index into its wire index
-// (dimension k for routers, point index p for crossbars) and lane. The
-// router's PE port decomposes to wire Dims(), lane 0.
-func (net *Network) PortWire(port int) (wire, lane int) {
-	return port / net.vcs, port % net.vcs
-}
-
 // SwitchCount reports the number of switching elements (routers + crossbars),
 // used by the structural-scaling experiment (E10).
 func (net *Network) SwitchCount() (routers, crossbars int) {

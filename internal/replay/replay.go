@@ -62,11 +62,6 @@ type RunSpec struct {
 	// the same workload) like any other variant pair.
 	VCs      int  `json:"vcs,omitempty"`
 	Adaptive bool `json:"adaptive,omitempty"`
-
-	// Shards steps the machine on that many spatial shards. Recordings made
-	// at different shard counts are expected hash-identical; Bisect across a
-	// shard-count change names the first cycle where that promise breaks.
-	Shards int `json:"shards,omitempty"`
 }
 
 // CellSpec parses the wire spec into a runnable campaign cell spec.
@@ -120,7 +115,6 @@ func (s RunSpec) CellSpec() (campaign.Spec, error) {
 		PivotLastDim:   s.PivotLastDim,
 		VCs:            s.VCs,
 		Adaptive:       s.Adaptive,
-		Shards:         s.Shards,
 	}, nil
 }
 
